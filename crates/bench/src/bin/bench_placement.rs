@@ -1,9 +1,15 @@
-//! Standalone runner for the placement-engine scaling harness (the same
+//! Standalone runner for the ring placement scaling harness (the same
 //! measurement `ech bench placement` exposes). Prints the JSON report to
-//! stdout; pass `--smoke` for the short CI-sized workload.
+//! stdout; pass `--smoke` for the short CI-sized workload. Exits 1 when
+//! the remap cross-check fails.
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let report = ech_bench::placement::run(smoke);
-    println!("{}", report.to_json());
+    match ech_bench::placement::run(smoke) {
+        Ok(report) => println!("{}", report.to_json()),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -62,17 +62,16 @@ COMMANDS:
                   [--crash1 OP] [--crash2 OP] [--servers N] [--replicas R]
                   [--net true]  add the message fault plane: flaky links,
                   an asymmetric partition, breakers and deadline budgets
-                  [--placement ring|jump|dx|power]  candidate-stream
-                  engine the drill's cluster places with
   bench           run a benchmark group on the live cluster, JSON to
                   stdout (group: hotpath | placement | modelcheck)
                   [--smoke true] [--check-against FILE] [--tolerance T]
-                  (placement measures every engine backend — lookup
-                  rate, resident bytes, remap fraction — at the
-                  million-key × 10³/10⁴-node grid; modelcheck runs every
-                  model with reduction on and off at its declared bound
-                  and reports schedules explored/pruned — counts are
-                  deterministic, so --check-against compares exactly)
+                  (placement measures the ring — lookup rate, resident
+                  bytes, remap fraction checked against its analytic
+                  expectation — at the million-key × 10³/10⁴-node grid;
+                  modelcheck runs every model with reduction on and off
+                  at its declared bound and reports schedules
+                  explored/pruned — counts are deterministic, so
+                  --check-against compares exactly)
   lint            run the workspace invariant analyzer (rules D1-D9)
                   [--root DIR] [--baseline FILE] [--deny-new true]
                   [--write-baseline true] [--json true]
@@ -167,7 +166,7 @@ fn bench_cmd(args: &Args) -> Result<String, ParseError> {
         return Ok(out);
     }
     if group == "placement" {
-        let report = ech_bench::placement::run(smoke);
+        let report = ech_bench::placement::run(smoke).map_err(ParseError)?;
         let mut out = report.to_json();
         if let Some(reference) = reference {
             let verdict = ech_bench::placement::check_against(&report, &reference, tolerance)
@@ -960,7 +959,6 @@ fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
         "servers",
         "replicas",
         "net",
-        "placement",
     ])?;
     let seed: u64 = args.get_or("seed", 0xEC0_5EED)?;
     let objects: u64 = args.get_or("objects", 200)?;
@@ -970,12 +968,6 @@ fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     let crash1: u64 = args.get_or("crash1", 12)?;
     let crash2: u64 = args.get_or("crash2", 25)?;
     let net: bool = args.get_or("net", false)?;
-    // `--placement` overrides the ECH_PLACEMENT env default picked up by
-    // `ClusterConfig::paper()`; absent, the env (or the ring) stands.
-    let placement: Option<ech_core::engine::EngineKind> = match args.options.get("placement") {
-        Some(v) => Some(v.parse().map_err(ParseError)?),
-        None => None,
-    };
     if servers < 2 {
         return Err(ParseError("--servers must be at least 2".into()));
     }
@@ -1034,9 +1026,6 @@ fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     let mut cfg = ClusterConfig::paper();
     cfg.servers = servers;
     cfg.replicas = replicas;
-    if let Some(kind) = placement {
-        cfg.placement = kind;
-    }
     if net {
         cfg.op_deadline = Some(Duration::from_millis(100));
         cfg.breaker = Some(BreakerConfig {

@@ -255,18 +255,6 @@ pub const MODELS: &[Model] = &[
         setup: reintegration_pool,
     },
     Model {
-        name: "engine-swap-vs-read",
-        about: "placement-engine swap migrates objects while a reader resolves them",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
-        pair: "lin-stale-read-bug",
-        bound: 2,
-        msg_budget: 0,
-        setup: engine_swap_vs_read,
-    },
-    Model {
         name: "batched-drain-vs-put",
         about: "batched re-integration drain racing an independent client write",
         expect_failure: false,
@@ -515,8 +503,6 @@ fn tiny_cluster_with(
         replicas,
         layout_base: 64,
         strategy,
-        // Models replay pinned schedules; the engine stays the ring so
-        // traces are byte-identical regardless of ECH_PLACEMENT.
         placement: EngineKind::Ring,
         kv_shards: 2,
         capacity_plan: None,
@@ -1055,45 +1041,6 @@ fn reintegration_pool(env: &mut Env) {
                 Err(e) => panic!("object lost by the re-integration pool: {e}"),
             }
         }
-    });
-}
-
-/// A placement-engine swap racing a reader: [`Cluster::set_engine`]
-/// copies every object to its new-engine placement *before* publishing
-/// the swapped view and removes stale copies after, so a reader pinning
-/// either snapshot must resolve the committed bytes (the full-placement
-/// sweep in `get` covers the removal window). The post-state check
-/// confirms the swap converged: the view places through the new engine
-/// and the object is fully placed under it.
-fn engine_swap_vs_read(env: &mut Env) {
-    let c = tiny_cluster();
-    c.put(OID, Bytes::copy_from_slice(PAYLOAD))
-        .expect("setup write at full power");
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.set_engine(EngineKind::Jump)
-                .expect("engine swap must migrate cleanly");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            let got = c.get(OID);
-            match got {
-                Ok(data) => assert_eq!(&data[..], PAYLOAD, "read returned wrong bytes"),
-                Err(e) => panic!("read during engine swap failed: {e}"),
-            }
-        });
-    }
-    env.after(move || {
-        assert_eq!(c.view_snapshot().engine(), EngineKind::Jump);
-        assert!(
-            c.is_fully_placed(OID),
-            "object not fully placed under the swapped engine"
-        );
-        let got = c.get(OID).expect("committed object must survive the swap");
-        assert_eq!(&got[..], PAYLOAD, "read returned wrong bytes after swap");
     });
 }
 

@@ -50,8 +50,8 @@ pub struct ClusterConfig {
     pub layout_base: u32,
     /// Placement algorithm (Primary = the paper's elastic design).
     pub strategy: Strategy,
-    /// Candidate-stream engine the strategy walks (ring = the paper's
-    /// consistent-hash ring; jump/dx/power = O(1)-lookup backends).
+    /// Placement backend: the paper's consistent-hash ring, the only
+    /// one (kept as a field so configs that pin it still build).
     pub placement: EngineKind,
     /// Shards of the backing key-value store.
     pub kv_shards: usize,
@@ -89,32 +89,13 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// The paper's deployment shape: 10 nodes, 2-way replication,
     /// primary placement over the equal-work layout.
-    ///
-    /// The placement engine defaults to the ring but honours the
-    /// `ECH_PLACEMENT` environment variable (`ring|jump|dx|power`), so
-    /// whole drill suites (chaos, stress, model replay) can be re-run
-    /// under an O(1) backend without touching their configs.
-    ///
-    /// # Panics
-    /// Panics on an unparseable `ECH_PLACEMENT` value: a typo silently
-    /// falling back to the ring would make an entire drill suite believe
-    /// it exercised an O(1) backend while actually re-running the ring.
     pub fn paper() -> Self {
-        let placement = match std::env::var("ECH_PLACEMENT") {
-            // ech-allow(D2): this is config-time, not the data path —
-            // a typoed engine name must fail the drill loudly, not
-            // silently invalidate its coverage by running the default.
-            Ok(v) => v.parse().unwrap_or_else(|e| panic!("ECH_PLACEMENT: {e}")),
-            Err(std::env::VarError::NotPresent) => EngineKind::default(),
-            // ech-allow(D2): same reasoning for a non-unicode value.
-            Err(e) => panic!("ECH_PLACEMENT: {e}"),
-        };
         ClusterConfig {
             servers: 10,
             replicas: 2,
             layout_base: 10_000,
             strategy: Strategy::Primary,
-            placement,
+            placement: EngineKind::Ring,
             kv_shards: 10,
             capacity_plan: None,
             write_quorum: WriteQuorum::default(),
@@ -360,7 +341,7 @@ impl Cluster {
             Strategy::Primary => Layout::equal_work(cfg.servers, cfg.layout_base),
             Strategy::Original => Layout::uniform(cfg.servers, cfg.layout_base),
         };
-        let view = ClusterView::with_engine(layout, cfg.strategy, cfg.replicas, cfg.placement);
+        let view = ClusterView::new(layout, cfg.strategy, cfg.replicas);
         let kv = Arc::new(KvStore::new(cfg.kv_shards));
         if let Some(inj) = &fault {
             kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
@@ -1284,111 +1265,6 @@ impl Cluster {
             }
         }
         version
-    }
-
-    /// Swap the placement engine, migrating every tracked object to its
-    /// placement under the new backend. Returns the number of objects
-    /// whose replicas moved.
-    ///
-    /// An engine swap changes the id→node mapping on the *same*
-    /// membership, so it is sequenced like a careful resize: copies land
-    /// at the new-engine placement first, the swapped view publishes
-    /// second, and stale old-engine replicas are removed last. Readers
-    /// pinning the pre-swap snapshot keep resolving against the old
-    /// engine (their replicas are removed only after the publish, and
-    /// the full-placement sweep fallback in `get` covers the removal
-    /// window); readers of the new snapshot find their copies already
-    /// in place. Placement caches key on the engine, so neither side
-    /// ever serves the other's entries. Writes racing the swap are
-    /// healed by the dirty/repair machinery like any degraded write —
-    /// the writer lock held here serialises the swap against resizes,
-    /// not against data-path I/O.
-    pub fn set_engine(&self, engine: EngineKind) -> Result<usize, ClusterError> {
-        let _writer = self.view_write.lock();
-        let old = self.view.load();
-        if old.engine() == engine {
-            return Ok(0);
-        }
-        let mut next = ClusterView::clone(&old);
-        // ech-allow(D4): this is the view's engine setter, not a
-        // re-entrant swap — the bare-name fallback conflates it with
-        // this method.
-        next.set_engine(engine);
-        let version = next.current_version();
-        let mut moved = 0usize;
-        let mut stale: Vec<(ObjectId, Vec<ServerId>)> = Vec::new();
-        // ech-allow(D4): the header scan and the copy fan-out below run
-        // under the writer lock on purpose — a resize landing mid-swap
-        // would be clobbered by the publish of `next`, which was cloned
-        // before it. An engine swap is a rare admin operation; blocking
-        // resizes for its duration is the contract, and the data path
-        // (get/put) never takes this lock so I/O keeps flowing.
-        for oid in self.headers.all_objects() {
-            let from = old.place_at(oid, version)?;
-            let to = next.place_at(oid, version)?;
-            if from == to {
-                continue;
-            }
-            // Read the payload from any current replica; an object whose
-            // replicas are all dark stays where it is and is left to the
-            // repair scan (the swap must not turn one unreadable object
-            // into a failed migration of everything else).
-            let Some(obj) = from
-                .servers()
-                .iter()
-                .filter_map(|&s| self.node(s).ok())
-                .find_map(|n| self.rpc(n.id(), n, |n| n.get(oid)).ok())
-            else {
-                continue;
-            };
-            let mut copied = false;
-            for &server in to.servers() {
-                if from.servers().contains(&server) {
-                    copied = true;
-                    continue;
-                }
-                let node = self.node(server)?;
-                if self
-                    .rpc(server, node, |n| {
-                        // ech-allow(D4, D6): replica copy, not an
-                        // authoritative stamp — it lands at the
-                        // already-stamped header version *before* the
-                        // swapped view publishes, which is exactly the
-                        // careful-resize order (copies first, publish
-                        // second, stale removal last). The writer lock
-                        // stays held across the faultable copy by
-                        // design; see the header-scan note above.
-                        n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
-                    })
-                    .is_ok()
-                {
-                    self.migrated_bytes
-                        .fetch_add(obj.data.len() as u64, Ordering::Relaxed);
-                    copied = true;
-                }
-            }
-            if !copied {
-                continue;
-            }
-            moved += 1;
-            stale.push((
-                oid,
-                from.servers()
-                    .iter()
-                    .copied()
-                    .filter(|s| !to.servers().contains(s))
-                    .collect(),
-            ));
-        }
-        self.view.store(Arc::new(next));
-        for (oid, servers) in stale {
-            for server in servers {
-                if let Ok(node) = self.node(server) {
-                    node.remove(oid);
-                }
-            }
-        }
-        Ok(moved)
     }
 
     /// **Deliberately seeded publish-order bug** (modelcheck builds

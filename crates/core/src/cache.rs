@@ -34,17 +34,7 @@
 //! ordinary FIFO capacity pressure, and each such lazy eviction (victim
 //! class ≠ inserting class) is counted as an *epoch eviction* in the
 //! cache stats.
-//!
-//! ## Engine keying
-//!
-//! The placement *engine* is part of the key as well: an engine swap
-//! (`ClusterView::set_engine`) changes the id→node mapping on the same
-//! membership, so an entry computed under one backend is wrong for
-//! another. Folding the engine into the key makes swaps coherence-free
-//! the same way epochs are — no invalidation protocol, old-engine
-//! entries simply stop being queried and age out under FIFO pressure.
 
-use crate::engine::EngineKind;
 use crate::ids::{ObjectId, VersionId};
 use crate::placement::{Placement, PlacementError};
 use crate::stats::{CacheCounters, CacheSnapshot};
@@ -52,12 +42,10 @@ use crate::sync::{Mutex, MutexGuard};
 use crate::view::ClusterView;
 use std::collections::{HashMap, VecDeque};
 
-/// Full cache key: object, epoch class, and the placement engine the
-/// entry was computed under (module docs, "Engine keying").
-type CacheKey = (ObjectId, VersionId, EngineKind);
+/// Full cache key: object and epoch class (module docs).
+type CacheKey = (ObjectId, VersionId);
 
-/// Bounded cache of resolved placements keyed by
-/// `(object, epoch class, engine)`.
+/// Bounded cache of resolved placements keyed by `(object, epoch class)`.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
     capacity: usize,
@@ -94,7 +82,7 @@ impl PlacementCache {
         // (module docs). Unrecorded versions fall through to the view,
         // which classifies them as errors — nothing gets cached.
         let class = view.history().epoch_class(version).unwrap_or(version);
-        let key = (oid, class, view.engine());
+        let key = (oid, class);
         if let Some(p) = self.map.get(&key) {
             self.hits += 1;
             return Ok(p.clone());
@@ -175,8 +163,8 @@ impl CacheShard {
     }
 
     /// Insert, returning how many evicted victims belonged to a
-    /// different epoch class (or placement engine) than the inserted
-    /// key — the lazy epoch-eviction count surfaced in the cache stats.
+    /// different epoch class than the inserted key — the lazy
+    /// epoch-eviction count surfaced in the cache stats.
     fn insert(&mut self, key: CacheKey, placement: Placement) -> u64 {
         if self.map.contains_key(&key) {
             // A racing miss on the same key already inserted the same
@@ -189,7 +177,7 @@ impl CacheShard {
             // FIFO eviction; skip keys already evicted by re-insertion.
             while let Some(old) = self.order.pop_front() {
                 if self.map.remove(&old).is_some() {
-                    if old.1 != key.1 || old.2 != key.2 {
+                    if old.1 != key.1 {
                         stale_evicted += 1;
                     }
                     break;
@@ -202,14 +190,11 @@ impl CacheShard {
     }
 }
 
-/// Mix an `(object, version, engine)` key into a shard index.
+/// Mix an `(object, version)` key into a shard index.
 /// SplitMix64-style finalizer: deterministic across runs and platforms
 /// (D1).
-fn shard_hash(oid: ObjectId, version: VersionId, engine: EngineKind) -> u64 {
-    let mut x = oid.raw()
-        ^ version.raw().rotate_left(32)
-        ^ (engine as u64).rotate_left(16)
-        ^ 0x9E37_79B9_7F4A_7C15;
+fn shard_hash(oid: ObjectId, version: VersionId) -> u64 {
+    let mut x = oid.raw() ^ version.raw().rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -270,8 +255,8 @@ impl ShardedPlacementCache {
         // (module docs). Unrecorded versions fall through to the view,
         // which classifies them as errors — nothing gets cached.
         let class = view.history().epoch_class(version).unwrap_or(version);
-        let key = (oid, class, view.engine());
-        let idx = (shard_hash(oid, class, view.engine()) & self.mask) as usize;
+        let key = (oid, class);
+        let idx = (shard_hash(oid, class) & self.mask) as usize;
         let Some(shard) = self.shards.get(idx) else {
             // Unreachable by construction (mask < shards.len()), but the
             // data path must stay panic-free: fall back to computing.

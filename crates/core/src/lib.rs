@@ -72,16 +72,12 @@ pub mod prelude {
         DirtyEntry, DirtyTable, HeaderMap, HeaderSource, InMemoryDirtyTable, NoHeaders,
         ObjectHeader,
     };
-    pub use crate::engine::{
-        DxEngine, EngineKind, JumpEngine, PlacementEngine, PowerEngine, RingEngine,
-    };
     pub use crate::hash::{fnv1a64, mix64, object_position, vnode_position, xxh64};
     pub use crate::ids::{ObjectId, Rank, ServerId, VersionId};
     pub use crate::layout::{primary_count, CapacityPlan, Layout, LayoutKind};
     pub use crate::membership::{MembershipHistory, MembershipTable, PowerState};
     pub use crate::placement::{
-        place, place_original, place_original_with, place_primary, place_primary_with, place_with,
-        Placement, PlacementError, Strategy,
+        place, place_original, place_primary, Placement, PlacementError, Strategy,
     };
     pub use crate::ratelimit::TokenBucket;
     pub use crate::reintegration::{

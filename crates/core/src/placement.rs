@@ -16,15 +16,7 @@
 //! primaries are temporarily treated as secondaries so the replication
 //! level survives, as long as `r` active servers exist at all.
 //!
-//! Both algorithms are *adapters* over a [`PlacementEngine`] candidate
-//! stream: the skip rules above never mention the ring, only "the next
-//! candidate server". The `*_with` variants run the same adapter over
-//! any backend (ring, jump, DxHash, power — see [`crate::engine`]); the
-//! classic `place_original`/`place_primary` entry points are the ring
-//! instantiation and produce byte-identical results to the pre-trait
-//! code.
-
-use crate::engine::{PlacementEngine, RingEngine};
+use crate::hash::object_position;
 use crate::ids::{ObjectId, ServerId};
 use crate::layout::Layout;
 use crate::membership::MembershipTable;
@@ -154,17 +146,6 @@ pub fn place_original(
     oid: ObjectId,
     replicas: usize,
 ) -> Result<Placement, PlacementError> {
-    place_original_with(&RingEngine::new(ring), membership, oid, replicas)
-}
-
-/// [`place_original`] generalized over any [`PlacementEngine`]: take the
-/// first `r` distinct active servers of the engine's candidate stream.
-pub fn place_original_with<E: PlacementEngine>(
-    engine: &E,
-    membership: &MembershipTable,
-    oid: ObjectId,
-    replicas: usize,
-) -> Result<Placement, PlacementError> {
     if replicas == 0 {
         return Err(PlacementError::ZeroReplicas);
     }
@@ -176,17 +157,17 @@ pub fn place_original_with<E: PlacementEngine>(
         });
     }
     let mut chosen: Vec<ServerId> = Vec::with_capacity(replicas);
-    let mut cursor = engine.start(oid);
+    let mut cursor = object_position(oid);
     while chosen.len() < replicas {
-        let found = engine.search(oid, cursor, |s| {
+        let found = next_on_ring(ring, cursor, |s| {
             membership.is_active(s) && !chosen.contains(&s)
         });
-        // `active >= replicas` plus engine coverage guarantees a hit; if
-        // not, degrade with a classified error rather than panicking
-        // mid-put (analyzer rule D2).
+        // `active >= replicas` plus a full lap guarantees a hit; if not,
+        // degrade with a classified error rather than panicking mid-put
+        // (analyzer rule D2).
         let Some((server, next)) = found else {
             return Err(PlacementError::Internal(
-                "candidate walk found no active unchosen server",
+                "ring walk found no active unchosen server",
             ));
         };
         chosen.push(server);
@@ -223,20 +204,6 @@ pub fn place_primary(
     oid: ObjectId,
     replicas: usize,
 ) -> Result<Placement, PlacementError> {
-    place_primary_with(&RingEngine::new(ring), layout, membership, oid, replicas)
-}
-
-/// [`place_primary`] generalized over any [`PlacementEngine`]: Algorithm
-/// 1's skip rules applied to the engine's candidate stream. Each replica
-/// resumes the stream at the cursor returned for the previous one — the
-/// backend-neutral form of "continue clockwise".
-pub fn place_primary_with<E: PlacementEngine>(
-    engine: &E,
-    layout: &Layout,
-    membership: &MembershipTable,
-    oid: ObjectId,
-    replicas: usize,
-) -> Result<Placement, PlacementError> {
     if replicas == 0 {
         return Err(PlacementError::ZeroReplicas);
     }
@@ -266,7 +233,7 @@ pub fn place_primary_with<E: PlacementEngine>(
 
     let mut chosen: Vec<ServerId> = Vec::with_capacity(replicas);
     let mut has_primary = false;
-    let mut cursor = engine.start(oid);
+    let mut cursor = object_position(oid);
 
     for i in 1..=replicas {
         let need = if i == replicas {
@@ -284,18 +251,13 @@ pub fn place_primary_with<E: PlacementEngine>(
             Need::Any
         };
 
-        // One full search from the cursor; a second pass relaxes the
-        // need to `Any` so replication survives degenerate memberships
-        // (e.g. no active primary at all). The primary-only search is
-        // routed through the engine's prefix-restricted walk — for
-        // uniform hashed streams a needle-in-haystack filter over all n
-        // servers degrades to an O(n) sweep, while a draw over the
-        // `0..p` prefix is O(1); the ring's default just delegates to
-        // its weighted walk, unchanged.
+        // One full lap from the cursor; a second pass relaxes the need to
+        // `Any` so replication survives degenerate memberships (e.g. no
+        // active primary at all).
         let mut found = None;
         for pass in 0..2 {
             let pass_need = if pass == 0 { need } else { Need::Any };
-            let accept = |s: ServerId| {
+            found = next_on_ring(ring, cursor, |s: ServerId| {
                 if !membership.is_active(s) || chosen.contains(&s) {
                     return false;
                 }
@@ -304,13 +266,7 @@ pub fn place_primary_with<E: PlacementEngine>(
                     Need::Secondary => !layout.is_primary(s) || primaries_as_secondaries,
                     Need::Primary => layout.is_primary(s),
                 }
-            };
-            found = if pass_need == Need::Primary {
-                let p = layout.primary_count().min(u32::MAX as usize) as u32;
-                engine.search_primaries(oid, cursor, p, accept)
-            } else {
-                engine.search(oid, cursor, accept)
-            };
+            });
             if found.is_some() {
                 break;
             }
@@ -320,7 +276,7 @@ pub fn place_primary_with<E: PlacementEngine>(
         // rather than panicking mid-put (analyzer rule D2).
         let Some((server, next)) = found else {
             return Err(PlacementError::Internal(
-                "relaxed candidate walk found no active unchosen server",
+                "relaxed ring walk found no active unchosen server",
             ));
         };
         if layout.is_primary(server) {
@@ -348,19 +304,18 @@ pub fn place(
     }
 }
 
-/// [`place`] generalized over any [`PlacementEngine`].
-pub fn place_with<E: PlacementEngine>(
-    engine: &E,
-    strategy: Strategy,
-    layout: &Layout,
-    membership: &MembershipTable,
-    oid: ObjectId,
-    replicas: usize,
-) -> Result<Placement, PlacementError> {
-    match strategy {
-        Strategy::Original => place_original_with(engine, membership, oid, replicas),
-        Strategy::Primary => place_primary_with(engine, layout, membership, oid, replicas),
-    }
+/// First server clockwise from `cursor` that `accept` takes, with the
+/// cursor just past its vnode, so the next replica resumes the walk
+/// there (Algorithm 1's "continue clockwise"). One full lap: `None`
+/// means `accept` rejected every server.
+fn next_on_ring<F: FnMut(ServerId) -> bool>(
+    ring: &HashRing,
+    cursor: u64,
+    mut accept: F,
+) -> Option<(ServerId, u64)> {
+    ring.walk_from(cursor)
+        .find(|v| accept(v.server))
+        .map(|v| (v.server, v.position.wrapping_add(1)))
 }
 
 /// Place many objects in parallel (rayon), preserving input order.
@@ -403,6 +358,20 @@ mod tests {
             sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), 3, "duplicate server for oid {k}");
+        }
+    }
+
+    #[test]
+    fn original_at_full_power_is_the_distinct_clockwise_walk() {
+        // With every server active and r = n, classic placement lists
+        // every server in the ring's distinct clockwise order.
+        let ring = HashRing::build(&[64u32; 8]);
+        let m = MembershipTable::full_power(8);
+        for k in 0..200u64 {
+            let oid = ObjectId(k);
+            let walk: Vec<ServerId> = ring.distinct_servers_from(object_position(oid)).collect();
+            let p = place_original(&ring, &m, oid, 8).unwrap();
+            assert_eq!(p.servers(), &walk[..], "oid {k}");
         }
     }
 
@@ -537,45 +506,6 @@ mod tests {
             assert_eq!(pl.len(), 2);
             assert!(pl.servers().iter().all(|&s| m.is_active(s)));
         }
-    }
-
-    #[test]
-    fn hashed_backends_keep_primary_invariant_under_deep_cursors() {
-        // Regression for the forced-primary pass over hashed engines:
-        // with most secondaries off, the first r-1 replicas routinely
-        // consume far more than PROBES candidates, handing the last
-        // replica's primary-band search a cursor past the band stream's
-        // period. The old non-cyclic band walk returned None there and
-        // the relaxed pass could place a third secondary, breaking the
-        // exactly-one-on-a-primary invariant.
-        use crate::engine::{DxEngine, JumpEngine, PowerEngine};
-        let n = 64usize;
-        let layout = Layout::equal_work(n, 10_000);
-        let p = layout.primary_count();
-        assert_eq!(p, 9);
-        // All primaries plus three tail secondaries active: secondaries
-        // plentiful enough (3 >= r - 1) that the exactly-one invariant
-        // applies, scarce enough that secondary hunts run deep into the
-        // sweep phase.
-        let mut states = vec![PowerState::Off; n];
-        for s in (0..p).chain(n - 3..n) {
-            states[s] = PowerState::On;
-        }
-        let m = MembershipTable::from_states(states);
-        fn check<E: PlacementEngine>(engine: &E, layout: &Layout, m: &MembershipTable) {
-            for k in 0..4000u64 {
-                let pl = place_primary_with(engine, layout, m, ObjectId(k), 3).unwrap();
-                assert_eq!(pl.len(), 3);
-                assert_eq!(
-                    pl.primary_replicas(layout).count(),
-                    1,
-                    "oid {k}: placement {pl}"
-                );
-            }
-        }
-        check(&JumpEngine::new(n), &layout, &m);
-        check(&DxEngine::new(n), &layout, &m);
-        check(&PowerEngine::new(n), &layout, &m);
     }
 
     #[test]

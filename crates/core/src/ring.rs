@@ -140,8 +140,8 @@ impl HashRing {
     }
 
     /// Bytes of resident lookup state: the vnode array, the successor
-    /// LUT, and per-server weights. This is the figure the placement
-    /// bench compares against the table-free hashed engines.
+    /// LUT, and per-server weights. This is the memory figure the
+    /// placement bench reports.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.vnodes.len() * std::mem::size_of::<VirtualNode>()

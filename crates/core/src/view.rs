@@ -5,11 +5,10 @@
 //! both write-availability offloading and selective re-integration
 //! (Algorithm 2's `locate_ser(OID, Ver)`).
 
-use crate::engine::{DxEngine, EngineKind, JumpEngine, PlacementEngine, PowerEngine, RingEngine};
 use crate::ids::{ObjectId, VersionId};
 use crate::layout::Layout;
 use crate::membership::{MembershipHistory, MembershipTable};
-use crate::placement::{place_with, Placement, PlacementError, Strategy};
+use crate::placement::{place, Placement, PlacementError, Strategy};
 use crate::ring::HashRing;
 use serde::{Deserialize, Serialize};
 
@@ -21,25 +20,11 @@ pub struct ClusterView {
     history: MembershipHistory,
     strategy: Strategy,
     replicas: usize,
-    engine: EngineKind,
 }
 
 impl ClusterView {
-    /// Build a view from a layout, starting at full power (version 1),
-    /// placing through the default ring engine.
+    /// Build a view from a layout, starting at full power (version 1).
     pub fn new(layout: Layout, strategy: Strategy, replicas: usize) -> Self {
-        Self::with_engine(layout, strategy, replicas, EngineKind::Ring)
-    }
-
-    /// [`ClusterView::new`] with an explicit placement backend. The ring
-    /// is always built (layout analysis and the `Ring` engine need it);
-    /// non-ring engines are stateless and constructed per lookup.
-    pub fn with_engine(
-        layout: Layout,
-        strategy: Strategy,
-        replicas: usize,
-        engine: EngineKind,
-    ) -> Self {
         assert!(replicas >= 1, "need at least one replica");
         assert!(
             replicas <= layout.server_count(),
@@ -53,7 +38,6 @@ impl ClusterView {
             history,
             strategy,
             replicas,
-            engine,
         }
     }
 
@@ -79,37 +63,6 @@ impl ClusterView {
     #[inline]
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// The placement backend in use.
-    #[inline]
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// Switch the placement backend. The ring, layout, and membership
-    /// history are untouched — an engine swap changes how object ids map
-    /// onto the *same* membership, so placements computed before and
-    /// after the swap generally disagree for the same version. Callers
-    /// that publish a swapped view are responsible for migrating objects
-    /// (see `Cluster::set_engine`); placement caches key on the engine,
-    /// so entries computed under the old backend can never satisfy
-    /// lookups against the new one.
-    #[inline]
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
-    }
-
-    /// Bytes of resident lookup state for the active backend (the ring's
-    /// vnode array + LUT for `Ring`; a few machine words otherwise).
-    pub fn placement_resident_bytes(&self) -> usize {
-        let n = self.server_count();
-        match self.engine {
-            EngineKind::Ring => self.ring.resident_bytes(),
-            EngineKind::Jump => JumpEngine::new(n).resident_bytes(),
-            EngineKind::Dx => DxEngine::new(n).resident_bytes(),
-            EngineKind::Power => PowerEngine::new(n).resident_bytes(),
-        }
     }
 
     /// Replication factor `r`.
@@ -158,43 +111,14 @@ impl ClusterView {
             .history
             .get(version)
             .ok_or(PlacementError::UnknownVersion(version))?;
-        // Non-ring engines are pure functions of the server count, so
-        // constructing them per call is free (a couple of integer ops);
-        // the ring engine borrows the prebuilt ring.
-        match self.engine {
-            EngineKind::Ring => place_with(
-                &RingEngine::new(&self.ring),
-                self.strategy,
-                &self.layout,
-                membership,
-                oid,
-                self.replicas,
-            ),
-            EngineKind::Jump => place_with(
-                &JumpEngine::new(self.server_count()),
-                self.strategy,
-                &self.layout,
-                membership,
-                oid,
-                self.replicas,
-            ),
-            EngineKind::Dx => place_with(
-                &DxEngine::new(self.server_count()),
-                self.strategy,
-                &self.layout,
-                membership,
-                oid,
-                self.replicas,
-            ),
-            EngineKind::Power => place_with(
-                &PowerEngine::new(self.server_count()),
-                self.strategy,
-                &self.layout,
-                membership,
-                oid,
-                self.replicas,
-            ),
-        }
+        place(
+            self.strategy,
+            &self.ring,
+            &self.layout,
+            membership,
+            oid,
+            self.replicas,
+        )
     }
 
     /// Replica locations of `oid` under the current membership.
@@ -264,10 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn default_engine_is_ring_and_matches_legacy_placement() {
+    fn view_places_through_the_ring_walk() {
         let v = view();
-        assert_eq!(v.engine(), EngineKind::Ring);
-        // The trait-routed ring placement must equal the direct call.
         let direct = crate::placement::place_primary(
             v.ring(),
             v.layout(),
@@ -277,32 +199,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.place_current(ObjectId(42)).unwrap(), direct);
-    }
-
-    #[test]
-    fn non_ring_engines_uphold_cluster_invariants() {
-        for kind in [EngineKind::Jump, EngineKind::Dx, EngineKind::Power] {
-            let mut v = ClusterView::with_engine(
-                Layout::equal_work(10, 10_000),
-                Strategy::Primary,
-                2,
-                kind,
-            );
-            assert_eq!(v.engine(), kind);
-            for k in 0..300u64 {
-                let p = v.place_current(ObjectId(k)).unwrap();
-                assert_eq!(p.len(), 2);
-                assert_eq!(p.primary_replicas(v.layout()).count(), 1, "{kind} oid {k}");
-            }
-            v.resize(6);
-            for k in 0..300u64 {
-                let p = v.place_current(ObjectId(k)).unwrap();
-                assert!(p
-                    .servers()
-                    .iter()
-                    .all(|&s| v.current_membership().is_active(s)));
-            }
-            assert!(v.placement_resident_bytes() < v.ring().resident_bytes());
-        }
     }
 }

@@ -5,7 +5,10 @@
 //!
 //! * Algorithm 1 places exactly one replica on a primary whenever enough
 //!   secondaries are active, and never loses the replication level;
-//! * placements are deterministic, distinct and active-only;
+//! * placements are deterministic, distinct and active-only, and a
+//!   serde round-trip of the view leaves them unchanged;
+//! * a size-down moves exactly the keys that had a replica on a
+//!   deactivated server (minimal disruption);
 //! * equal-work weights are monotone in rank and sum close to their ideal;
 //! * membership histories resolve every recorded version;
 //! * applying Algorithm 2's moves to the write-time placement yields the
@@ -84,6 +87,60 @@ proptest! {
         let a = place_primary(&ring, &layout, &m, ObjectId(oid), r).unwrap();
         let b2 = place_primary(&ring, &layout, &m, ObjectId(oid), r).unwrap();
         prop_assert_eq!(a, b2);
+    }
+
+    #[test]
+    fn view_placement_survives_serde_round_trip(
+        (n, b, r) in cluster_shape(),
+        oid_base in 0u64..1_000_000,
+        active_frac in 0.2f64..1.0,
+    ) {
+        let mut view = ClusterView::new(Layout::equal_work(n, b), PlacementStrategy::Primary, r);
+        let active = ((n as f64 * active_frac) as usize).clamp(r, n);
+        view.resize(active);
+        let json = serde_json::to_string(&view).expect("serialize view");
+        let back: ClusterView = serde_json::from_str(&json).expect("deserialize view");
+        // A coordinator restart must not remap: every recorded version
+        // places identically on the deserialised view.
+        for k in 0..32u64 {
+            let oid = ObjectId(oid_base + k);
+            for version in [VersionId(1), view.current_version()] {
+                prop_assert_eq!(view.place_at(oid, version), back.place_at(oid, version));
+            }
+        }
+    }
+
+    #[test]
+    fn size_down_only_moves_keys_that_lost_a_replica(
+        (n, b, r) in cluster_shape(),
+        oid_base in 0u64..1_000_000,
+    ) {
+        let mut view = ClusterView::new(Layout::equal_work(n, b), PlacementStrategy::Primary, r);
+        // Keep the placement regime identical across the resize (all
+        // primaries active, secondaries plentiful), so only individual
+        // servers' availability changes: a key then moves iff it held a
+        // replica on a deactivated server.
+        let down = ((n * 4) / 5).max(view.layout().primary_count() + r);
+        if down >= n {
+            // Too small to size down without changing the regime.
+            return Ok(());
+        }
+        let full = view.current_version();
+        view.resize(down);
+        for k in 0..64u64 {
+            let oid = ObjectId(oid_base + k);
+            let before = view.place_at(oid, full).unwrap();
+            let after = view.place_current(oid).unwrap();
+            let lost = before
+                .servers()
+                .iter()
+                .any(|&s| !view.current_membership().is_active(s));
+            if lost {
+                prop_assert!(after != before, "inactive replica must be offloaded");
+            } else {
+                prop_assert_eq!(&after, &before, "key with intact replicas must not move");
+            }
+        }
     }
 
     #[test]
